@@ -37,6 +37,20 @@ rows=$(echo "$warm" | grep -c " ms$" || true)
 [ "$rows" -eq 1 ] \
   || { echo "FAIL: warm sweep should re-time 1 config, got $rows"; echo "$warm"; exit 1; }
 
+# a tunestore file in an older format is a miss, and the rerun rewrites it
+# in the current format
+tune_file=$(find "$cache_dir" -name '*.tune' | head -n 1)
+[ -n "$tune_file" ] \
+  || { echo "FAIL: cold sweep wrote no .tune file"; exit 1; }
+magic=$(head -n 1 "$tune_file")
+sed '1s/.*/lime-tunestore 3/' "$tune_file" > "$tune_file.old"
+mv "$tune_file.old" "$tune_file"
+stale=$(sweep)
+echo "$stale" | grep -q "tunestore: miss" \
+  || { echo "FAIL: an older-format tunestore file should miss"; echo "$stale"; exit 1; }
+[ "$(head -n 1 "$tune_file")" = "$magic" ] \
+  || { echo "FAIL: the rerun did not rewrite $tune_file in the current format"; exit 1; }
+
 echo "== parallel batch smoke test =="
 # compile every example program in one --jobs 4 batch, twice against the
 # same --cache-dir: the cold run must compile all four, the warm run must
@@ -475,6 +489,7 @@ for dev in gtx8800 gtx580 hd5970 corei7; do
 done
 
 echo "ci.sh: OK (cold sweep populated the cache; warm run served from it;"
+echo "        an older-format tunestore file missed and was rewritten;"
 echo "        --jobs 4 batch recompiled all examples warm from disk;"
 echo "        traced run exported well-formed Chrome JSON;"
 echo "        daemon served a warm cache hit and drained cleanly on SIGTERM;"

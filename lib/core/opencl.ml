@@ -514,6 +514,21 @@ and assign_c g dst (e : Ir.expr) : unit =
       line g "/* %s aliases %s */" (cname dst) (cname src)
   | e -> line g "%s = %s;" (cname dst) (expr_c g e)
 
+(* [v] is the result of an inline block that returns an array literal *)
+and bound_by_literal g v =
+  let found = ref false in
+  List.iter
+    (Ir.iter_stmt ~expr:ignore ~stmt:(function
+      | Ir.SInlineBlock (res, b) when res = v ->
+          if
+            List.exists
+              (function Ir.SReturn (Some (Ir.ArrLit _)) -> true | _ -> false)
+              b
+          then found := true
+      | _ -> ()))
+    g.kernel.Kernel.k_body;
+  !found
+
 and is_array_name g v =
   Hashtbl.mem g.views v || local_array_aty g v <> None
 
@@ -635,10 +650,14 @@ and decl_c g v (t : Ir.ty) (init : Ir.expr option) : unit =
   | Ir.TArr aty, None -> (
       (* an array variable bound later (e.g. an inline-block result): a
          small private one is a real register array filled by an array
-         literal; larger ones alias their single assignment *)
+         literal, as is a larger one bound by a literal (a per-thread
+         spill buffer); others alias their single assignment *)
       match ((placement g v).Ir.space, Ir.static_elem_count aty) with
       | Ir.MPrivate, Some n ->
           line g "%s %s[%d];" (scalar_c aty.Ir.elem) (cname v) n
+      | _, Some n when bound_by_literal g v ->
+          line g "%s %s[%d]; /* per-thread spill buffer */"
+            (scalar_c aty.Ir.elem) (cname v) n
       | _ ->
           line g "/* %s is bound by its single assignment below */" (cname v))
   | Ir.TArr aty, Some (Ir.NewArr _) -> (

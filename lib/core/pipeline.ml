@@ -5,6 +5,7 @@
     the stages mirror Figure 3 of the paper. *)
 
 module Ir = Lime_ir.Ir
+module Hooks = Lime_support.Hooks
 
 type compiled = {
   cp_program : Lime_typecheck.Tast.tprogram;
@@ -23,73 +24,34 @@ type optimizer =
 (* Observation hooks                                                   *)
 (* ------------------------------------------------------------------ *)
 
-(* Registrations are read-modify-write on an immutable assoc list, so they
-   are guarded by a mutex; notification reads a snapshot without locking
-   (a ref holding an immutable list never tears). *)
-let hooks_mu = Mutex.create ()
-
-let locked f =
-  Mutex.lock hooks_mu;
-  Fun.protect ~finally:(fun () -> Mutex.unlock hooks_mu) f
-
-(** Legacy single-slot observation hook, kept for backward compatibility.
-    Prefer {!on_compile}, which composes: the service metrics layer and the
-    tracer can both be installed without clobbering each other.  The slot
-    is routed through the keyed registry under the key ["legacy"], so
-    overwriting it never clobbers keyed observers (and vice versa). *)
-let compile_observer : (worker:string -> seconds:float -> unit) ref =
-  ref (fun ~worker:_ ~seconds:_ -> ())
-
-let compile_hooks :
-    (string * (worker:string -> seconds:float -> unit)) list ref =
-  ref []
-
-let on_compile ~key f =
-  locked (fun () ->
-      compile_hooks := (key, f) :: List.remove_assoc key !compile_hooks)
-
-let remove_compile_observer key =
-  locked (fun () -> compile_hooks := List.remove_assoc key !compile_hooks)
-
-let () =
-  on_compile ~key:"legacy" (fun ~worker ~seconds ->
-      !compile_observer ~worker ~seconds)
-
-let notify_compile ~worker ~seconds =
-  List.iter (fun (_, f) -> f ~worker ~seconds) !compile_hooks
+let compile_hooks : (worker:string -> seconds:float -> unit) Hooks.t =
+  Hooks.create ()
 
 type phase_event = [ `Begin | `End of float ]
 
-let phase_hooks : (string * (phase:string -> phase_event -> unit)) list ref =
-  ref []
-
-let on_phase ~key f =
-  locked (fun () ->
-      phase_hooks := (key, f) :: List.remove_assoc key !phase_hooks)
-
-let remove_phase_observer key =
-  locked (fun () -> phase_hooks := List.remove_assoc key !phase_hooks)
+let phase_hooks : (phase:string -> phase_event -> unit) Hooks.t =
+  Hooks.create ()
 
 (** Run one named pipeline phase, notifying every phase observer of its
     begin and end (exception-safe: a diagnostic raised mid-phase still
     closes the phase).  With no observers installed this is just [f ()]. *)
 let run_phase (phase : string) (f : unit -> 'a) : 'a =
-  match !phase_hooks with
-  | [] -> f ()
-  | hooks ->
-      List.iter (fun (_, h) -> h ~phase `Begin) hooks;
-      let t0 = Sys.time () in
-      Fun.protect
-        ~finally:(fun () ->
-          let dt = Sys.time () -. t0 in
-          List.iter (fun (_, h) -> h ~phase (`End dt)) !phase_hooks)
-        f
+  if Hooks.is_empty phase_hooks then f ()
+  else begin
+    Hooks.iter phase_hooks (fun h -> h ~phase `Begin);
+    let t0 = Sys.time () in
+    Fun.protect
+      ~finally:(fun () ->
+        let dt = Sys.time () -. t0 in
+        Hooks.iter phase_hooks (fun h -> h ~phase (`End dt)))
+      f
+  end
 
 (** Like {!run_phase} for phases that exist purely for observability (the
     standalone lex pass, the OpenCL validator): skipped entirely when no
     phase observer is installed, so the untraced hot path pays nothing. *)
 let probe_phase (phase : string) (f : unit -> unit) : unit =
-  if !phase_hooks <> [] then run_phase phase f
+  if not (Hooks.is_empty phase_hooks) then run_phase phase f
 
 (* ------------------------------------------------------------------ *)
 (* Compilation                                                         *)
@@ -137,7 +99,8 @@ let compile ?(config = Memopt.config_all) ?(simplify = true) ?optimizer
         run_phase "codegen" (fun () -> Opencl.generate kernel decisions)
       in
       probe_phase "clcheck" (fun () -> ignore (Clcheck.check opencl));
-      notify_compile ~worker ~seconds:(Sys.time () -. t0);
+      let seconds = Sys.time () -. t0 in
+      Hooks.iter compile_hooks (fun f -> f ~worker ~seconds);
       {
         cp_program = tp;
         cp_module = md;

@@ -512,6 +512,7 @@ let rename_decls (names : (string, unit) Hashtbl.t) (ss : Ir.stmt list) :
     let stmt = function
       | Ir.SDecl (v, t, init) -> Ir.SDecl (rn v, t, init)
       | Ir.SAssign (Ir.LVar v, e) -> Ir.SAssign (Ir.LVar (rn v), e)
+      | Ir.SInlineBlock (v, b) -> Ir.SInlineBlock (rn v, b)
       | s -> s
     in
     List.map (map_stmt ~expr ~stmt) ss

@@ -58,22 +58,10 @@ type event =
       ok : bool;  (** the stored placement still fits the pipeline *)
     }
 
-let hooks_mu = Mutex.create ()
+let observers : (event -> unit) Lime_support.Hooks.t =
+  Lime_support.Hooks.create ()
 
-let locked f =
-  Mutex.lock hooks_mu;
-  Fun.protect ~finally:(fun () -> Mutex.unlock hooks_mu) f
-
-let observers : (string * (event -> unit)) list ref = ref []
-
-let on_search ~key f =
-  locked (fun () ->
-      observers := (key, f) :: List.remove_assoc key !observers)
-
-let remove_search_observer key =
-  locked (fun () -> observers := List.remove_assoc key !observers)
-
-let emit ev = List.iter (fun (_, f) -> f ev) (locked (fun () -> !observers))
+let emit ev = Lime_support.Hooks.iter observers (fun f -> f ev)
 
 (* ------------------------------------------------------------------ *)
 (* Search                                                              *)
@@ -114,9 +102,16 @@ let best_of (singles : (string * candidate) list) : string * candidate =
     None singles
   |> Option.get
 
-(** The legacy baselines, priced: all offloadable stages on one device
-    (the engine's [config.device] mode) for each device, plus everything
-    on the host.  Returns the scored list and the best of them.  Used by
+(* The single-device baselines scored with [evaluate]: everything on
+   the host, then all offloadable stages on each device in turn (the
+   engine's [config.device] mode). *)
+let score_singles (tb : Cost.table) evaluate : (string * candidate) list =
+  ("host", evaluate (uniform_assigns tb Placement.Host))
+  :: List.map
+       (fun (name, d) -> (name, evaluate (uniform_assigns tb (Placement.On d))))
+       Placement.devices
+
+(** The single-device baselines, priced, and the best of them.  Used by
     both the search (as its seed) and warm tunestore replays (so a
     replayed placement prints the same scored table a cold search
     does). *)
@@ -124,15 +119,7 @@ let singles ?(serializer = Marshal_.Custom) ~(firings : int)
     (stages : Probe.stage list) :
     (string * candidate) list * (string * candidate) =
   let tb = Cost.table stages in
-  let evals = ref 0 in
-  let evaluate = evaluate_with tb ~serializer ~firings evals in
-  let s =
-    ("host", evaluate (uniform_assigns tb Placement.Host))
-    :: List.map
-         (fun (name, d) ->
-           (name, evaluate (uniform_assigns tb (Placement.On d))))
-         Placement.devices
-  in
+  let s = score_singles tb (evaluate_with tb ~serializer ~firings (ref 0)) in
   (s, best_of s)
 
 let search ?(width = default_width) ?(serializer = Marshal_.Custom)
@@ -153,16 +140,7 @@ let search ?(width = default_width) ?(serializer = Marshal_.Custom)
       Placement.Host :: List.map (fun (_, d) -> Placement.On d) Placement.devices
     else [ Placement.Host ]
   in
-  let uniform = uniform_assigns tb in
-  (* the legacy single-device baselines: all offloadable stages on one
-     device (the engine's config.device mode), plus everything on the
-     host *)
-  let singles =
-    ("host", evaluate (uniform Placement.Host))
-    :: List.map
-         (fun (name, d) -> (name, evaluate (uniform (Placement.On d))))
-         Placement.devices
-  in
+  let singles = score_singles tb evaluate in
   let best_single = best_of singles in
   let best_ever = ref (snd best_single) in
   let consider c = if cmp_candidate c !best_ever < 0 then best_ever := c in

@@ -6,6 +6,7 @@ module V = Lime_ir.Value
 module Engine = Lime_runtime.Engine
 module Comm = Lime_runtime.Comm
 module Memopt = Lime_gpu.Memopt
+module Hooks = Lime_support.Hooks
 
 let nbody = Lime_benchmarks.Nbody.single
 
@@ -185,43 +186,49 @@ let test_multi_filter_pipeline () =
   Alcotest.(check bool) "composed values correct" true
     (V.approx_equal ~rtol:0.0 ~atol:0.0 r.Engine.last_value (V.VArr want))
 
-(* The legacy single-slot firing_observer is routed through the keyed
-   registry (key "legacy"): it must keep firing, and writing it must not
-   clobber keyed observers registered with on_firing. *)
-let test_legacy_observer_composes () =
-  let legacy_count = ref 0 and keyed_count = ref 0 in
-  let saved = !Engine.firing_observer in
-  Engine.firing_observer :=
-    (fun ~task:_ ~device:_ ~phases:_ -> incr legacy_count);
-  Engine.on_firing ~key:"test" (fun _ -> incr keyed_count);
+(* The keyed observer registry behind Engine.firing_hooks (and every
+   other observer point): distinct keys compose, a repeated key replaces
+   its entry, removing an absent key is a no-op, and registrations racing
+   from two domains are both kept. *)
+let test_hooks_compose () =
+  let a = ref 0 and b = ref 0 and a' = ref 0 in
+  let tasks r =
+    List.length r.Engine.offloaded_tasks + List.length r.Engine.host_tasks
+  in
   Fun.protect
     ~finally:(fun () ->
-      Engine.firing_observer := saved;
-      Engine.remove_firing_observer "test")
+      List.iter (Hooks.remove Engine.firing_hooks) [ "test-a"; "test-b" ])
     (fun () ->
+      Hooks.add Engine.firing_hooks ~key:"test-a" (fun _ -> incr a);
+      Hooks.add Engine.firing_hooks ~key:"test-b" (fun _ -> incr b);
       let _, r = run_nbody 16 2 in
-      (* one notification per task per iteration: source, filter, sink *)
-      let tasks =
-        List.length r.Engine.offloaded_tasks + List.length r.Engine.host_tasks
-      in
-      Alcotest.(check int) "legacy slot fires per task firing"
-        (r.Engine.firings * tasks)
-        !legacy_count;
-      Alcotest.(check int) "keyed observer fires per task firing"
-        (r.Engine.firings * tasks)
-        !keyed_count;
-      (* overwriting the legacy slot must not clobber the keyed observer *)
-      Engine.firing_observer := (fun ~task:_ ~device:_ ~phases:_ -> ());
-      let before = !keyed_count in
+      let n = r.Engine.firings * tasks r in
+      Alcotest.(check int) "first key fires per task firing" n !a;
+      Alcotest.(check int) "second key fires per task firing" n !b;
+      Hooks.add Engine.firing_hooks ~key:"test-a" (fun _ -> incr a');
+      Hooks.remove Engine.firing_hooks "test-absent";
       let _, r2 = run_nbody 16 1 in
-      Alcotest.(check int) "keyed observer survives slot overwrite"
-        (before + (r2.Engine.firings * tasks))
-        !keyed_count);
-  (* cleanup restored the no-op: further runs touch neither counter *)
-  let legacy_after = !legacy_count and keyed_after = !keyed_count in
+      let n2 = r2.Engine.firings * tasks r2 in
+      Alcotest.(check int) "replaced entry no longer fires" n !a;
+      Alcotest.(check int) "replacement fires" n2 !a';
+      Alcotest.(check int) "other key unaffected" (n + n2) !b);
+  let before = (!a, !b, !a') in
   let _, _ = run_nbody 16 1 in
-  Alcotest.(check int) "legacy restored" legacy_after !legacy_count;
-  Alcotest.(check int) "keyed removed" keyed_after !keyed_count
+  Alcotest.(check bool) "removed entries stay silent" true
+    (before = (!a, !b, !a'));
+  let h : (int -> unit) Hooks.t = Hooks.create () in
+  let seen = ref [] in
+  let register d =
+    Domain.spawn (fun () ->
+        for i = 0 to 199 do
+          Hooks.add h ~key:(Printf.sprintf "d%d-%d" d i) (fun v ->
+              seen := v :: !seen)
+        done)
+  in
+  List.iter Domain.join [ register 0; register 1 ];
+  Hooks.iter h (fun f -> f 1);
+  Alcotest.(check int) "registrations from both domains kept" 400
+    (List.length !seen)
 
 let () =
   Alcotest.run "engine"
@@ -245,8 +252,7 @@ let () =
         ] );
       ( "observers",
         [
-          Alcotest.test_case "legacy slot routed through keyed registry"
-            `Quick test_legacy_observer_composes;
+          Alcotest.test_case "keyed hooks compose" `Quick test_hooks_compose;
         ] );
       ( "accounting",
         [

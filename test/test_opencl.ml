@@ -134,24 +134,28 @@ let test_parallel_reduction_kernel () =
     Alcotest.failf "reduction kernel invalid:
 %s" (Lime_gpu.Clcheck.report r)
 
+(* every registry workload under every configuration the compile daemon
+   serves must generate a kernel the validator accepts *)
 let test_all_benchmarks_generate () =
   List.iter
     (fun (b : Lime_benchmarks.Bench_def.t) ->
-      let c =
-        Lime_gpu.Pipeline.compile ~worker:b.Lime_benchmarks.Bench_def.worker
-          b.Lime_benchmarks.Bench_def.source
-      in
-      let src = c.Lime_gpu.Pipeline.cp_opencl in
-      Alcotest.(check bool)
-        (b.Lime_benchmarks.Bench_def.name ^ " has kernel")
-        true (has "__kernel void" src);
-      Alcotest.(check bool)
-        (b.Lime_benchmarks.Bench_def.name ^ " balanced braces")
-        true
-        (let opens = String.fold_left (fun a c -> if c = '{' then a + 1 else a) 0 src in
-         let closes = String.fold_left (fun a c -> if c = '}' then a + 1 else a) 0 src in
-         opens = closes))
-    Lime_benchmarks.Registry.all
+      List.iter
+        (fun (cfg_name, config) ->
+          let c =
+            Lime_gpu.Pipeline.compile ~config
+              ~worker:b.Lime_benchmarks.Bench_def.worker
+              b.Lime_benchmarks.Bench_def.source
+          in
+          let src = c.Lime_gpu.Pipeline.cp_opencl in
+          let what = b.Lime_benchmarks.Bench_def.name ^ " under " ^ cfg_name in
+          Alcotest.(check bool) (what ^ " has kernel") true
+            (has "__kernel void" src);
+          let r = Lime_gpu.Clcheck.check src in
+          if not (Lime_gpu.Clcheck.ok r) then
+            Alcotest.failf "%s fails clcheck:\n%s" what
+              (Lime_gpu.Clcheck.report r))
+        Lime_server.Server.configs)
+    Lime_benchmarks.Registry.workloads
 
 let () =
   Alcotest.run "opencl"

@@ -1,6 +1,6 @@
 (* The rewrite engine (lib/rewrite): catalog naming, canned Fig 8
    sequences vs the Fig 8 configurations, beam search vs the sweep on the
-   registry workloads, schedule replay, and the format-3 tunestore. *)
+   registry workloads, schedule replay, and the tunestore sequence field. *)
 
 module Rewrite = Lime_rewrite.Rewrite
 module Search = Lime_rewrite.Search
@@ -207,6 +207,38 @@ let test_replay_rejects_stale_schedule () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "bogus stored schedule replayed"
 
+(* The beam winners for RPES and Crypt unroll loops that hold inlined
+   calls; every copy's inline-block result must be renamed with its
+   declaration, or the rescheduled OpenCL stores into an undeclared
+   variable. *)
+let test_unrolled_winners_generate_valid_opencl () =
+  List.iter
+    (fun name ->
+      let b =
+        match Registry.find name with
+        | Some b -> b
+        | None -> Alcotest.failf "%s missing from the registry" name
+      in
+      let c = Registry.compile_small b in
+      let k = c.Pipeline.cp_kernel in
+      let shapes, scalars = Engine.shapes_of_args k [ b.B.input_small () ] in
+      List.iter
+        (fun (d : Device.t) ->
+          let best = (Search.search d k ~shapes ~scalars).Search.so_best in
+          let st = best.Search.sc_state in
+          let r =
+            Pipeline.reschedule c ~schedule:best.Search.sc_sequence
+              st.Rewrite.st_kernel st.Rewrite.st_config
+          in
+          let check = Lime_gpu.Clcheck.check r.Pipeline.cp_opencl in
+          if not (Lime_gpu.Clcheck.ok check) then
+            Alcotest.failf "%s on %s (%s) fails clcheck:\n%s" name
+              d.Device.name
+              (String.concat ";" best.Search.sc_sequence)
+              (Lime_gpu.Clcheck.report check))
+        (E.gpu_devices @ [ Device.core_i7 ]))
+    [ "Parboil-RPES"; "JG-Crypt" ]
+
 (* ------------------------------------------------------------------ *)
 (* The fig8 optimizer strategy is byte-identical to the plain sweep    *)
 (* ------------------------------------------------------------------ *)
@@ -241,7 +273,7 @@ let test_reschedule_records_schedule () =
         (r.Pipeline.cp_config = Memopt.config_local_noconflict)
 
 (* ------------------------------------------------------------------ *)
-(* Tunestore format 3                                                  *)
+(* Tunestore sequence field                                            *)
 (* ------------------------------------------------------------------ *)
 
 let record ?(sequence = None) () =
@@ -278,18 +310,13 @@ let test_tunestore_v3_sequence_roundtrip () =
             true
             (r.Tunestore.tr_sequence = Some [])
       | None -> Alcotest.fail "baseline record did not load");
-      (* a format-2 file (no sequence line) still loads, as None *)
-      Out_channel.with_open_text
-        (Tunestore.path ts ~digest ~device:"gtx8800")
-        (fun oc ->
-          Printf.fprintf oc
-            "lime-tunestore 2\nname Local\nconfig %s\ntime_s 2.5e-4\n"
-            (Digest.canonical_config Memopt.config_local));
+      (* a record without a sequence line loads as None *)
+      Tunestore.store ts ~digest ~device:"gtx8800" (record ~sequence:None ());
       match Tunestore.load ts ~digest ~device:"gtx8800" with
       | Some r ->
-          Alcotest.(check bool) "v2 file loads with no sequence" true
+          Alcotest.(check bool) "no sequence line loads as None" true
             (r.Tunestore.tr_sequence = None)
-      | None -> Alcotest.fail "format-2 file did not load")
+      | None -> Alcotest.fail "sequence-free record did not load")
 
 (* ------------------------------------------------------------------ *)
 (* Service: cold search, warm replay                                   *)
@@ -353,6 +380,8 @@ let () =
             test_replay_reproduces_search_best;
           Alcotest.test_case "stale schedule rejected" `Quick
             test_replay_rejects_stale_schedule;
+          Alcotest.test_case "unrolled winners generate valid OpenCL" `Quick
+            test_unrolled_winners_generate_valid_opencl;
         ] );
       ( "persistence",
         [

@@ -186,6 +186,37 @@ let test_search_deterministic () =
   Alcotest.(check (float 0.0)) "same best time"
     a.Search.po_best.Search.pc_time_s b.Search.po_best.Search.pc_time_s
 
+(* Above four placeable stages the search leaves exhaustive enumeration
+   for the beam: replicate the pipeline's two kernels under fresh task
+   names until six stages are placeable. *)
+let test_search_beam_branch () =
+  let stages = Lazy.force probed in
+  let kernels = List.filter (fun st -> st.Probe.st_offloadable) stages in
+  let copies i =
+    List.map
+      (fun st ->
+        { st with Probe.st_task = Printf.sprintf "%s_%d" st.Probe.st_task i })
+      kernels
+  in
+  let wide =
+    (List.hd stages :: kernels) @ copies 1 @ copies 2
+    @ [ List.nth stages (List.length stages - 1) ]
+  in
+  Alcotest.(check int) "six placeable stages" 6
+    (List.length (List.filter (fun st -> st.Probe.st_offloadable) wide));
+  let a = Search.search ~firings:16 wide in
+  Alcotest.(check bool) "beam, not exhaustive" false a.Search.po_exhaustive;
+  let _, best_single = a.Search.po_best_single in
+  Alcotest.(check bool) "never worse than best single device" true
+    (a.Search.po_best.Search.pc_time_s <= best_single.Search.pc_time_s);
+  let b = Search.search ~firings:16 wide in
+  Alcotest.(check string) "same best spec"
+    (P.to_spec a.Search.po_best.Search.pc_placement)
+    (P.to_spec b.Search.po_best.Search.pc_placement);
+  Alcotest.(check (float 0.0)) "same best time"
+    a.Search.po_best.Search.pc_time_s b.Search.po_best.Search.pc_time_s;
+  Alcotest.(check int) "same evaluations" a.Search.po_evals b.Search.po_evals
+
 let test_replay_validates () =
   let stages = Lazy.force probed in
   (match Search.replay ~firings:4 stages [ ("No.Such", P.Host) ] with
@@ -264,14 +295,16 @@ let test_placed_run_bit_exact () =
 let test_placed_run_attributes_devices () =
   (* firing_info carries the per-stage device of a placed run *)
   let seen = Hashtbl.create 8 in
-  Engine.on_firing ~key:"test-sched" (fun fi ->
+  Lime_support.Hooks.add Engine.firing_hooks ~key:"test-sched" (fun fi ->
       let dev =
         match fi.Engine.fi_dev with
         | Some d -> d.Device.name
         | None -> "host"
       in
       Hashtbl.replace seen fi.Engine.fi_task dev);
-  Fun.protect ~finally:(fun () -> Engine.remove_firing_observer "test-sched")
+  Fun.protect
+    ~finally:(fun () ->
+      Lime_support.Hooks.remove Engine.firing_hooks "test-sched")
   @@ fun () ->
   let _, decisions = run_placed searched in
   let d = List.hd decisions in
@@ -388,6 +421,8 @@ let () =
           Alcotest.test_case "splits at scale" `Slow
             test_search_splits_at_scale;
           Alcotest.test_case "deterministic" `Quick test_search_deterministic;
+          Alcotest.test_case "beam above four placeable stages" `Quick
+            test_search_beam_branch;
           Alcotest.test_case "replay validates" `Quick test_replay_validates;
           Alcotest.test_case "zero firings" `Quick test_cost_zero_firings;
           Alcotest.test_case "residency" `Quick test_cost_residency_free;

@@ -175,21 +175,24 @@ let test_tunestore_roundtrip () =
       | None -> Alcotest.fail "stored entry did not load");
       Alcotest.(check bool) "other device misses" true
         (Tunestore.load ts ~digest ~device:"gtx580" = None);
-      (* a version-1 file (no headline lines) still loads *)
-      Out_channel.with_open_text
-        (Tunestore.path ts ~digest ~device:"gtx580")
-        (fun oc ->
-          Printf.fprintf oc "lime-tunestore 1\nname %s\nconfig %s\ntime_s %.9g\n"
+      (* a file in an older format is a miss, and the next store
+         overwrites it with the current format *)
+      let old_file = Tunestore.path ts ~digest ~device:"gtx580" in
+      Out_channel.with_open_text old_file (fun oc ->
+          Printf.fprintf oc
+            "lime-tunestore 3\nname %s\nconfig %s\ntime_s %.9g\n"
             r.Tunestore.tr_config_name
             (Digest.canonical_config r.Tunestore.tr_config)
             r.Tunestore.tr_time_s);
-      (match Tunestore.load ts ~digest ~device:"gtx580" with
-      | Some r1 ->
-          Alcotest.(check string) "v1 name" r.Tunestore.tr_config_name
-            r1.Tunestore.tr_config_name;
-          Alcotest.(check bool) "v1 has no headline" true
-            (r1.Tunestore.tr_headline = None)
-      | None -> Alcotest.fail "version-1 file should load");
+      Alcotest.(check bool) "older-format file is a miss" true
+        (Tunestore.load ts ~digest ~device:"gtx580" = None);
+      Tunestore.store ts ~digest ~device:"gtx580" r;
+      Alcotest.(check string) "store rewrites the current magic"
+        "lime-tunestore 4"
+        (In_channel.with_open_text old_file In_channel.input_line
+        |> Option.value ~default:"");
+      Alcotest.(check bool) "rewritten file loads" true
+        (Tunestore.load ts ~digest ~device:"gtx580" <> None);
       (* corrupt file -> miss, not crash *)
       Out_channel.with_open_text
         (Tunestore.path ts ~digest ~device:"gtx8800")
